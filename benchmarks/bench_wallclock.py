@@ -13,27 +13,25 @@ wall seconds, for three representative workloads:
   which is how the paper's machine actually runs (one sequential
   program per node);
 * ``engine_microbench_flood`` — the engine microbench's companion for
-  the traffic the vector tier's columnar core exists for: a
-  design-space sweep's worth of independent pre-scheduled timers
-  drained in time order — pure priority-queue churn with a six-figure
-  pending set and no rendezvous traffic at all;
+  pure priority-queue churn: a design-space sweep's worth of
+  independent pre-scheduled timers drained in time order — a
+  six-figure pending set and no rendezvous traffic at all;
 * ``e12_matmul`` — the distributed matmul application workload
   (vector forms, collectives, DMA, link wires) from bench E12;
 * ``e15_dma_contention`` — the E15 hub under saturating link DMA
   traffic in both directions (Store/Resource heavy).
 
-Each workload runs on all four kernel tiers — ``reference`` (pure
-heap, shim-allocating, re-decoding: the pre-optimization simulator),
-``fast`` (URGENT fast lane, decoded-instruction cache), ``turbo``
-(resume trampolining, nlane, block translation), and ``vector``
-(columnar SoA event queue, batched vector forms) — interleaved
-round-robin so host noise hits every tier alike, keeping the best
-(minimum-wall) run per tier: the standard estimator for a
+Each workload runs on both kernel tiers — ``reference`` (pure heap,
+shim-allocating, re-decoding: the pre-optimization simulator) and
+``turbo`` (URGENT fast lane, resume trampolining, nlane,
+decoded-instruction cache, block translation, batched vector forms)
+— interleaved round-robin so host noise hits both tiers alike,
+keeping the best (minimum-wall) run per tier: the standard estimator for a
 deterministic workload under noisy timing.  The harness asserts that
-all tiers report **identical simulated results** (the cycle-exactness
-contract) and records the wall-clock ratios against reference — every
-tier's run carries its own ``*_vs_reference`` speedup fields, so
-readers never re-derive them.
+both tiers report **identical simulated results** (the
+cycle-exactness contract) and records the wall-clock ratios against
+reference — every tier's run carries its own ``*_vs_reference``
+speedup fields, so readers never re-derive them.
 
 Results go to ``benchmarks/reports/wallclock.txt``/``.json`` like any
 other bench, plus the top-level ``BENCH_wallclock.json`` that tracks
@@ -165,7 +163,7 @@ def engine_microbench(scale: int):
 
 
 def engine_microbench_flood(scale: int):
-    """Timer flood: the columnar core's headline workload.
+    """Timer flood: raw priority-queue throughput.
 
     Independent timers with scattered delays — per-node clocks,
     refresh ticks, watchdogs across a whole configuration-table sweep
@@ -173,10 +171,8 @@ def engine_microbench_flood(scale: int):
     multiplicative hash scatters delays so the queue really has to
     sort; nothing waits on the ticks, so the workload measures raw
     queue insert/extract throughput with a pending set in the
-    hundreds of thousands.  The heap tiers pay a tuple heappush and
-    O(log n) tuple-compare heappop per tick; the vector tier stages
-    list appends, sorts the whole batch once at C speed, and streams
-    the run out through the no-callback drain.  Returns
+    hundreds of thousands.  Both tiers pay a tuple heappush and an
+    O(log n) tuple-compare heappop per tick.  Returns
     (engine, signature).
     """
     eng = Engine()
@@ -431,7 +427,6 @@ def _timed_run(fn, scale: int, tier: str) -> dict:
         wall = time.perf_counter() - t0
     stats = engine_stats(engine)
     batch = stats["vau_batch"]
-    columnar = stats["columnar"] or {}
     return {
         "wall_s": wall,
         "events": stats["events_processed"],
@@ -441,11 +436,11 @@ def _timed_run(fn, scale: int, tier: str) -> dict:
         "signature": list(signature),
         "kernel_tier": tier,
         # Chain-adoption observability: model-layer fused chains tick
-        # identically on every tier; staged_pops only on vector.
+        # identically on both tiers; batched elements only on turbo.
         "chain_fusion": {
             "vau_chain_model": batch["vau_chain_model"],
             "chain_ops_fused": batch["chain_ops_fused"],
-            "staged_pops": columnar.get("staged_pops", 0),
+            "batched_elements": batch["batched_elements"],
         },
     }
 
@@ -453,9 +448,9 @@ def _timed_run(fn, scale: int, tier: str) -> dict:
 def _measure_tiers(fn, scale: int, repeats: int) -> dict:
     """Min-of-N per kernel tier, interleaved round-robin.
 
-    Each repeat times all four tiers back-to-back, so slow drift in
-    the host machine (frequency scaling, noisy neighbours) hits every
-    tier alike.  Per tier we keep the minimum-wall run: the workload
+    Each repeat times both tiers back-to-back, so slow drift in the
+    host machine (frequency scaling, noisy neighbours) hits both
+    tiers alike.  Per tier we keep the minimum-wall run: the workload
     is deterministic, so the fastest observation is the one least
     contaminated by host noise.
     """
@@ -497,15 +492,12 @@ def run_benchmark(quick: bool = False) -> dict:
                 runs[tier]["events_per_s"] / reference["events_per_s"], 4
             )
         entry = dict(runs)
-        for tier in KERNEL_TIERS:
-            if tier == "reference":
-                continue
-            entry[f"wall_speedup_{tier}"] = (
-                reference["wall_s"] / runs[tier]["wall_s"]
-            )
-            entry[f"events_per_s_speedup_{tier}"] = (
-                runs[tier]["events_per_s"] / reference["events_per_s"]
-            )
+        entry["wall_speedup_turbo"] = (
+            reference["wall_s"] / runs["turbo"]["wall_s"]
+        )
+        entry["events_per_s_speedup_turbo"] = (
+            runs["turbo"]["events_per_s"] / reference["events_per_s"]
+        )
         entry["sim_time_identical"] = all(
             runs[tier]["sim_ns"] == reference["sim_ns"]
             for tier in KERNEL_TIERS
@@ -528,22 +520,17 @@ def run_benchmark(quick: bool = False) -> dict:
 
 def render(payload: dict) -> Table:
     table = Table(
-        "Simulator wall-clock: fast/turbo/vector kernel tiers vs reference",
-        ["workload", "reference s", "fast s", "turbo s", "vector s",
-         "fast x", "turbo x", "vector x", "vector events/s",
-         "sim identical"],
+        "Simulator wall-clock: turbo kernel tier vs reference",
+        ["workload", "reference s", "turbo s", "turbo x",
+         "turbo events/s", "sim identical"],
     )
     for name, r in payload["workloads"].items():
         table.add(
             name,
             round(r["reference"]["wall_s"], 4),
-            round(r["fast"]["wall_s"], 4),
             round(r["turbo"]["wall_s"], 4),
-            round(r["vector"]["wall_s"], 4),
-            round(r["wall_speedup_fast"], 2),
             round(r["wall_speedup_turbo"], 2),
-            round(r["wall_speedup_vector"], 2),
-            round(r["vector"]["events_per_s"]),
+            round(r["turbo"]["events_per_s"]),
             r["sim_time_identical"],
         )
     return table
@@ -586,26 +573,20 @@ def main(argv=None) -> int:
             micro["events_per_s_speedup_turbo"], 2
         ),
         "microbench_target": 3.0,
-        "microbench_flood_vector_vs_turbo": round(
-            flood["events_per_s_speedup_vector"]
-            / flood["events_per_s_speedup_turbo"], 2
+        # Reported, not gated: the heap is the only event queue, so
+        # the flood runs at about reference speed.
+        "microbench_flood_events_per_s_speedup": round(
+            flood["events_per_s_speedup_turbo"], 2
         ),
-        "microbench_flood_vector_vs_turbo_target": 2.0,
+        # The headline gate for the chain pipeline: batched, fused
+        # chains on the application workload.
         "matmul_wall_speedup": round(matmul["wall_speedup_turbo"], 2),
-        "matmul_target": 2.0,
-        "matmul_vector_wall_speedup": round(
-            matmul["wall_speedup_vector"], 2
-        ),
-        "matmul_vector_target": 2.2,
-        # The headline gate for the chain pipeline: the vector tier
-        # must no longer trail turbo on the application workload.
-        "matmul_vector_vs_turbo": round(
-            matmul["wall_speedup_vector"] / matmul["wall_speedup_turbo"],
-            2,
-        ),
-        "matmul_vector_vs_turbo_target": 1.0,
+        "matmul_target": 2.2,
         "matmul_chains_fused": (
-            matmul["vector"]["chain_fusion"]["vau_chain_model"]
+            matmul["turbo"]["chain_fusion"]["vau_chain_model"]
+        ),
+        "matmul_batched_elements": (
+            matmul["turbo"]["chain_fusion"]["batched_elements"]
         ),
         "all_sim_times_identical": all(
             r["sim_time_identical"] for r in payload["workloads"].values()
@@ -638,18 +619,8 @@ def main(argv=None) -> int:
             payload["acceptance"]["microbench_events_per_s_speedup"]
             >= payload["acceptance"]["microbench_target"]
         ) and (
-            payload["acceptance"]["microbench_flood_vector_vs_turbo"]
-            >= payload["acceptance"][
-                "microbench_flood_vector_vs_turbo_target"]
-        ) and (
             payload["acceptance"]["matmul_wall_speedup"]
             >= payload["acceptance"]["matmul_target"]
-        ) and (
-            payload["acceptance"]["matmul_vector_wall_speedup"]
-            >= payload["acceptance"]["matmul_vector_target"]
-        ) and (
-            payload["acceptance"]["matmul_vector_vs_turbo"]
-            >= payload["acceptance"]["matmul_vector_vs_turbo_target"]
         )
     print(
         "\nacceptance:",

@@ -49,18 +49,17 @@ invoked; the instruction and cycle counters advance by the pre-summed
 totals afterwards.  A block ends at any branch, call, channel
 operation, or scheduler/priority point (the *tail*, executed with
 exact fast-path semantics), so architectural state at every chain
-boundary a harness can observe is bit-identical to the other tiers.
+boundary a harness can observe is bit-identical to the reference tier.
 :attr:`step_barrier` lets harnesses (self-modifying-code patching,
 ``as_process`` yield pacing) force control back at the first chain
-boundary where ``instructions >= barrier`` — the same boundary the
-chain-at-a-time tiers would stop at.  :meth:`patch_code` invalidates
+boundary where ``instructions >= barrier`` — the same boundary a
+harness stepping the reference tier would stop at.  :meth:`patch_code` invalidates
 exactly the blocks whose span overlaps the patched range.
 
-Kernel tiers: ``REPRO_SLOW_KERNEL=1`` disables both caches, forcing
-the byte-at-a-time reference path (used by the equivalence regression
-tests and the wall-clock benchmark baseline); ``REPRO_TURBO_KERNEL=0``
-disables only the block translator, keeping the PR-1 decoded cache
-(the *fast* tier).
+Kernel tiers: the reference tier (``REPRO_SLOW_KERNEL=1``) disables
+both the decoded cache and the block translator, forcing the
+byte-at-a-time path (used by the equivalence regression tests and the
+wall-clock benchmark baseline); the turbo tier enables both.
 """
 
 from repro.cp.isa import CYCLE_COSTS, Op, Secondary
@@ -204,20 +203,18 @@ class CPU:
         self._secondary = {
             sec: fn.__get__(self) for sec, fn in self._SECONDARY_FUNCS.items()
         }
-        tier = kernel_tier()
-        self.kernel_tier = tier
+        self.kernel_tier = kernel_tier()
+        # Turbo tier: the decoded-instruction cache plus translated
+        # basic blocks, keyed by start PC, and a negative cache of PCs
+        # where translation was not worthwhile.
+        self._fast = self.kernel_tier != "reference"
         self._decoded = {}
-        self._use_cache = tier != "reference"
-        # Turbo tier and above: translated basic blocks, keyed by start
-        # PC, plus a negative cache of PCs where translation was not
-        # worthwhile.
-        self._use_blocks = tier in ("turbo", "vector")
         self._blocks = {}
         self._unblocked = set()
         #: When set, the turbo tier returns control from :meth:`step`
         #: at the first instruction-chain boundary where
         #: ``instructions >= step_barrier`` instead of running through
-        #: it — the boundary the chain-at-a-time tiers would observe.
+        #: it — the boundary the reference tier would observe.
         self.step_barrier = None
         # Cache profiling counters (see cache_stats()).
         self.decoded_hits = 0
@@ -342,7 +339,7 @@ class CPU:
         """
         import hashlib
 
-        if not self._use_blocks:
+        if not self._fast:
             raise CPUError(
                 "block import requires a block-translating kernel tier"
             )
@@ -580,25 +577,24 @@ class CPU:
     def step(self) -> int:
         """Decode and execute one instruction; returns its cycle cost.
 
-        On the cached fast path one call executes a whole prefix chain
-        plus its final opcode and returns the chain's total cost; on
-        the turbo tier one call may execute a whole translated basic
-        block (bounded by :attr:`step_barrier`); the reference path
+        On the turbo tier one call executes a whole translated basic
+        block (bounded by :attr:`step_barrier`) or, where no block
+        starts, a whole decoded prefix chain plus its final opcode,
+        returning the total cost; the reference path
         (cache disabled, or mid-chain ``Oreg`` state) executes a single
         code byte per call, exactly as the hardware decodes.
         Architectural state at every chain boundary advances
-        identically on all tiers.
+        identically on both tiers.
         """
         if self.halted:
             raise CPUError("CPU is halted")
-        if self._use_cache and self.oreg == 0:
+        if self._fast and self.oreg == 0:
             iptr = self.iptr
-            if self._use_blocks:
-                block = self._blocks.get(iptr)
-                if block is None and iptr not in self._unblocked:
-                    block = self._translate_block(iptr)
-                if block is not None:
-                    return self._run_block(block)
+            block = self._blocks.get(iptr)
+            if block is None and iptr not in self._unblocked:
+                block = self._translate_block(iptr)
+            if block is not None:
+                return self._run_block(block)
             decoded = self._decoded
             entry = decoded.get(iptr)
             if entry is None:
@@ -735,7 +731,7 @@ class CPU:
 
         Returns control at the first chain boundary where
         ``instructions >= barrier`` — bit-identically to how the
-        chain-at-a-time tiers pace a harness's between-step checks.
+        reference tier paces a harness's between-step checks.
         """
         chains, _tb, _tc, _cb, _cc, tail, _start, _end = block
         self.block_hits += 1
@@ -1129,9 +1125,9 @@ class CPU:
         or one whole decoded chain per call.  The turbo tier is paced
         through :attr:`step_barrier`: a translated block that would run
         through the next yield point instead returns at the first chain
-        boundary past it — exactly where the chain-at-a-time tiers
-        yield — so the engine-side event interleaving is bit-identical
-        across tiers.
+        boundary past it — exactly where the reference tier yields —
+        so the engine-side event interleaving is bit-identical across
+        tiers.
         """
         if self not in engine.cp_cpus:
             engine.cp_cpus.append(self)

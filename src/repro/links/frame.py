@@ -15,7 +15,7 @@ the *measured* figure is produced by experiment E2, not asserted.
 from dataclasses import dataclass
 
 from repro.core.specs import NS_PER_S
-from repro.events.engine import slow_kernel_requested
+from repro.events.engine import kernel_tier
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,15 @@ class FrameSpec:
         # Memoized wire-time lookup (the dataclass is frozen, so the
         # cache and the precomputed ns factor are smuggled in via
         # object.__setattr__).  transfer_ns() sits on every DMA/frame
-        # hot path and transfer sizes repeat heavily.  REPRO_SLOW_KERNEL
-        # (read at construction, like the event kernel) disables the
+        # hot path and transfer sizes repeat heavily.  The reference tier
+        # (sampled at construction, like the event kernel) disables the
         # memo so the reference run prices every call at full cost.
         object.__setattr__(
             self, "_ns_factor", self.bits_per_byte * NS_PER_S
         )
         object.__setattr__(
-            self, "_transfer_cache", None if slow_kernel_requested() else {}
+            self, "_transfer_cache",
+            None if kernel_tier() == "reference" else {}
         )
 
     @property

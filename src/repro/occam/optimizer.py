@@ -45,7 +45,7 @@ channel rendezvous in the same order, same final variable values, same
 error-flag state, same termination (the optimized program simply gets
 there in fewer instructions and cycles).  The conformance harness
 (:mod:`repro.testing.gen_occam`) enforces this differentially on every
-fuzz case across all four kernel tiers.
+fuzz case across both kernel tiers.
 """
 
 import re

@@ -50,6 +50,7 @@ from repro.service.scheduler import (
     JobTimeout,
     QuotaError,
     SimulationService,
+    UnknownTierError,
 )
 from repro.service.tenants import TenantTable
 from repro.service.workloads import (
@@ -78,6 +79,7 @@ __all__ = [
     "SimulationService",
     "StatusBus",
     "TenantTable",
+    "UnknownTierError",
     "UnknownWorkloadError",
     "canonical_json",
     "default_cache_dir",

@@ -33,8 +33,10 @@ dropped; a streaming subscriber that cannot keep up has its queue
 reset to a single overflow marker and the stream is closed with a
 ``slow_consumer`` error instead of buffering without bound.  The
 scheduler's own rejections (:class:`QuotaError` → 429,
-:class:`AdmissionError` → 503, :class:`JobTimeout`) cross the wire as
-their structured ``as_json`` forms.
+:class:`UnknownTierError` → 400, :class:`AdmissionError` → 503,
+:class:`JobTimeout`) cross the wire as their structured ``as_json``
+forms.  A handler bug never takes the accept loop down: it is counted
+in ``handler_errors`` and its traceback written to stderr.
 
 Graceful drain: ``SIGTERM``/``SIGINT`` (via :func:`run_server`) stops
 accepting, lets the drain thread finish every queued job —
@@ -47,8 +49,10 @@ thread to finish them.
 
 import asyncio
 import json
+import sys
 import threading
 import time
+import traceback
 import urllib.parse
 from collections import OrderedDict
 
@@ -72,6 +76,7 @@ from repro.service.scheduler import (
     JobError,
     JobTimeout,
     QuotaError,
+    UnknownTierError,
 )
 from repro.service.workloads import UnknownWorkloadError
 
@@ -130,7 +135,7 @@ class NetCounters:
         "connections", "active_connections", "frames_in",
         "frames_out", "http_requests", "rejected_auth", "shed",
         "protocol_errors", "idle_timeouts", "streaming_subscribers",
-        "stream_events", "submits", "drain_errors",
+        "stream_events", "submits", "drain_errors", "handler_errors",
     )
 
     def __init__(self):
@@ -310,8 +315,10 @@ class ServiceServer:
         except (ConnectionError, BrokenPipeError):
             pass
         except Exception:
-            # A handler bug must not take the accept loop down.
-            counters.drain_errors += 0  # placeholder: keep counters
+            # A handler bug must not take the accept loop down, but it
+            # must not vanish either.
+            counters.handler_errors += 1
+            traceback.print_exc(file=sys.stderr)
         finally:
             counters.active_connections -= 1
             self._writers.discard(writer)
@@ -559,6 +566,8 @@ class ServiceServer:
             await self._write_http(writer, 401, exc.as_json())
         except QuotaError as exc:
             await self._write_http(writer, 429, exc.as_json())
+        except UnknownTierError as exc:
+            await self._write_http(writer, 400, exc.as_json())
         except AdmissionError as exc:
             await self._write_http(writer, 503, exc.as_json())
         except UnknownWorkloadError as exc:

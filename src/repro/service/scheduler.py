@@ -14,7 +14,10 @@ simulator backend.  The scheduler's contract —
 * **Admission control.**  The queue is depth-bounded; a submit beyond
   the bound fails with a structured :class:`AdmissionError` — unless
   graceful degradation (``shed_on_full=True``) finds a queued job
-  from a lower-precedence tenant to shed first.
+  from a lower-precedence tenant to shed first.  A job naming a
+  kernel tier that does not exist fails at submit with a structured
+  :class:`UnknownTierError`, before it is keyed into the queue or the
+  journal.
 * **Per-tenant quotas.**  A :class:`~repro.service.tenants.TenantTable`
   meters every tenant and token-buckets admission; over-quota submits
   fail with a structured :class:`QuotaError`.  The tenant id never
@@ -57,6 +60,7 @@ import heapq
 import threading
 import time
 
+from repro.events.engine import KERNEL_TIERS
 from repro.parallel import CellResult, resolve_jobs, run_cells
 from repro.service.cache import ResultCache
 from repro.service.jobkey import JobSpec, job_key, payload_digest
@@ -122,6 +126,27 @@ class QuotaError(AdmissionError):
             "tenant": (str(self.tenant)
                        if self.tenant is not None else None),
             "tokens": self.tokens,
+        }
+
+
+class UnknownTierError(AdmissionError):
+    """Structured rejection: the job names an unknown kernel tier."""
+
+    def __init__(self, key, tier):
+        RuntimeError.__init__(
+            self,
+            f"unknown kernel tier {tier!r}; known tiers: "
+            f"{', '.join(KERNEL_TIERS)} (job {key[:12]}…)"
+        )
+        self.key = key
+        self.tier = tier
+
+    def as_json(self) -> dict:
+        return {
+            "error": "unknown_tier",
+            "key": self.key,
+            "tier": self.tier,
+            "known": list(KERNEL_TIERS),
         }
 
 
@@ -363,13 +388,17 @@ class SimulationService:
         (priority, seq) so drain order is what it would have been;
         completed jobs whose cache entry is gone are re-enqueued too
         (counted ``done_cache_missing``) so every journaled job is
-        still delivered after a restart.
+        still delivered after a restart.  A job whose kernel tier no
+        longer exists (journaled by an older build) cannot run: it is
+        journaled FAIL with the :class:`UnknownTierError` message
+        (counted ``failed_unknown_tier``) instead of being queued.
         """
         replay = self.journal.replay()
         stats = dict(replay.stats)
         stats["recovered_pending"] = 0
         stats["done_in_cache"] = 0
         stats["done_cache_missing"] = 0
+        stats["failed_unknown_tier"] = 0
         entries = list(replay.pending())
         for key, entry in replay.entries.items():
             if entry["status"] != "done":
@@ -394,6 +423,13 @@ class SimulationService:
                 )
                 key = job_key(job)
                 if key in self._inflight:
+                    continue
+                if job.tier not in KERNEL_TIERS:
+                    self.failed += 1
+                    self.journal.append(
+                        "FAIL", key=key,
+                        error=str(UnknownTierError(key, job.tier)))
+                    stats["failed_unknown_tier"] += 1
                     continue
                 future = JobFuture(self, job, key, entry["priority"],
                                    "queued", tenant=entry.get("tenant"))
@@ -484,7 +520,9 @@ class SimulationService:
         cache, then token-bucket the tenant (:class:`QuotaError`),
         then admit into the queue — shedding a lower-precedence
         tenant's queued job when ``shed_on_full`` is set, raising
-        :class:`AdmissionError` at the depth bound otherwise.
+        :class:`AdmissionError` at the depth bound otherwise.  A job
+        whose tier is not in ``KERNEL_TIERS`` raises
+        :class:`UnknownTierError` first.
         """
         job = job.resolved()
         if tenant is None:
@@ -493,6 +531,10 @@ class SimulationService:
         with self._lock:
             self.submissions += 1
             self.tenants.note(tenant, "submitted")
+            if job.tier not in KERNEL_TIERS:
+                self.rejected += 1
+                self.tenants.note(tenant, "rejected")
+                raise UnknownTierError(key, job.tier)
             existing = self._inflight.get(key)
             if existing is not None:
                 existing.submits += 1
@@ -541,8 +583,8 @@ class SimulationService:
     def submit_batch(self, jobs) -> list:
         """Submit many ``(job, priority)`` pairs (or bare JobSpecs).
 
-        Admission and quota failures become futures in the
-        ``rejected`` state rather than raising, so one oversized batch
+        Admission, quota, and unknown-tier failures become futures in
+        the ``rejected`` state rather than raising, so one oversized batch
         still yields a per-job status report.
         """
         futures = []
@@ -552,7 +594,7 @@ class SimulationService:
             )
             try:
                 futures.append(self.submit(job, priority))
-            except AdmissionError as exc:  # QuotaError included
+            except AdmissionError as exc:  # Quota/UnknownTier too
                 future = JobFuture(self, job.resolved(), exc.key,
                                    priority, "rejected",
                                    tenant=job.tenant)

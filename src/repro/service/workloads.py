@@ -22,7 +22,7 @@ job on the tier the key was addressed under.
 import hashlib
 import inspect
 
-from repro.events.engine import KERNEL_TIERS, force_kernel
+from repro.events.engine import force_kernel
 
 
 class UnknownWorkloadError(KeyError):
@@ -138,15 +138,14 @@ def registered_kinds() -> list:
 def execute_job(payload: dict):
     """Run one job payload; the fork pool's cell function.
 
-    The tier was resolved at submit time and is part of the job's
-    identity, so the runner executes under ``force_kernel`` no matter
-    what the worker's ambient environment says.
+    The tier was resolved (and validated) at submit time and is part
+    of the job's identity, so the runner executes under
+    ``force_kernel`` no matter what the worker's ambient tier is.
+    ``force_kernel`` scopes the tier to this thread, so concurrent
+    submitters resolving the ambient tier are unaffected.
     """
-    tier = payload["tier"]
-    if tier not in KERNEL_TIERS:
-        raise ValueError(f"unknown kernel tier {tier!r}")
     runner = resolve(payload["kind"])
-    with force_kernel(tier=tier):
+    with force_kernel(tier=payload["tier"]):
         if runner.takes == "job":
             return runner.fn(payload)
         return runner.fn(payload["spec"])

@@ -28,7 +28,7 @@ from repro.testing import (
     gen_cp, gen_events, gen_faults, gen_net, gen_occam, gen_service,
     gen_vector,
 )
-from repro.testing.oracle import differential
+from repro.testing.oracle import check_case
 from repro.testing.shrink import default_repro_dir, shrink, write_repro
 
 GENERATORS = {
@@ -49,9 +49,7 @@ def run_case(generator, rng):
     """
     spec = generator.generate(rng)
     try:
-        report = differential(generator.execute, spec,
-                              invariant=getattr(generator, "invariant",
-                                                None))
+        report = check_case(generator, spec)
     except Exception as exc:  # generator/harness bug, not a divergence
         return spec, None, exc
     return spec, report, None
@@ -88,9 +86,7 @@ def fuzz(seed: int, cases: int, budget_s: float, names, repro_dir,
             print(f"[{name} #{index}] DIVERGENCE: {summary}")
             # Shrinking re-executes candidate specs, so it runs in
             # the parent on both the serial and the parallel path.
-            report = differential(generator.execute, spec,
-                                  invariant=getattr(generator,
-                                                    "invariant", None))
+            report = check_case(generator, spec)
             if do_shrink:
                 spec, report, used = shrink(generator, spec)
                 print(f"  shrunk in {used} executions: "

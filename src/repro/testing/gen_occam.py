@@ -63,7 +63,7 @@ from repro.occam.compiler import (
 )
 
 #: Execution budget in executed code *bytes* — the unit that advances
-#: identically on all four kernel tiers (a step() call executes one
+#: identically on both kernel tiers (a step() call executes one
 #: byte, one chain, or one translated block depending on the tier, so
 #: a step-count budget would stop each tier at a different point).
 MAX_STEP_BYTES = 400_000
@@ -280,12 +280,12 @@ def _run_code(code, aot_payload=None):
     """Run assembled code on the current tier; returns (cpu, stopped).
 
     ``aot_payload`` warm-starts a block-translating CPU from a
-    pre-compiled table (ignored on the other tiers), so every fuzz
+    pre-compiled table (ignored on the reference tier), so every fuzz
     case also checks that an ahead-of-time load is bit-identical to
     runtime translation.
     """
     cpu = CPU(code)
-    if aot_payload is not None and cpu._use_blocks:
+    if aot_payload is not None and cpu._fast:
         cpu.import_blocks(aot_payload)
     stopped = "budget"
     cpu.step_barrier = MAX_STEP_BYTES

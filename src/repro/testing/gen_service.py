@@ -13,10 +13,10 @@ with a payload digest byte-identical to a clean direct execution.
 
 The job payloads themselves are pure arithmetic
 (:func:`run_job`, registered as the ``service.chaos`` workload kind),
-so outcomes are kernel-tier independent: the differential oracle
-running a case on all four tiers checks *service determinism* — same
-chaos schedule, same journal bytes, same final statuses and digests —
-rather than kernel agreement.  Chaos side effects (crash once, kill
+and every job pins ``tier="turbo"``, so outcomes are kernel-tier
+independent by construction: the oracle runs each case once (see
+:data:`TIERS`) and checks the ``invariant`` — every surviving job
+delivered, with its clean digest — rather than kernel agreement.  Chaos side effects (crash once, kill
 once) are gated on marker files under ``REPRO_CHAOS_DIR`` so the spec
 stays path-free and the journal stays byte-deterministic.
 
@@ -31,6 +31,10 @@ import random
 import subprocess
 import sys
 import tempfile
+
+#: The oracle runs each case on this tier only (payloads are pure
+#: arithmetic and every job pins it; see repro.testing.oracle.check_case).
+TIERS = ("turbo",)
 
 #: Exit status of the mid-drain service kill (the simulated kill -9).
 KILL_EXIT = 9
@@ -134,10 +138,9 @@ def _job_specs(spec: dict):
     pairs = []
     for i, job in enumerate(spec["jobs"]):
         tenant = f"t{i % 2}" if spec["tenants"] else None
-        # Tier pinned explicitly: the oracle runs this case under
-        # every kernel tier, and an ambient-resolved tier would fold
-        # a different value into every job key (different journal
-        # bytes per tier — a false divergence).
+        # Tier pinned explicitly: an ambient-resolved tier would fold
+        # the caller's tier into every job key, so the journal bytes
+        # would depend on where the case runs.
         pairs.append((
             JobSpec(kind="service.chaos", spec=dict(job),
                     tier="turbo", tenant=tenant),

@@ -3,9 +3,8 @@
 A small registry of canonical workloads — one per major subsystem —
 each of which produces a deterministic JSON-able trace.  The traces
 are pinned under ``tests/golden/`` and checked against every kernel
-tier on every run: reference vs. stored, fast vs. stored, turbo
-vs. stored — and hence (implicitly) every tier against every other
-tier.  Any behavioural drift in the event engine, the CP
+tier on every run: reference vs. stored and turbo vs. stored — and
+hence (implicitly) the two tiers against each other.  Any behavioural drift in the event engine, the CP
 interpreter, the Occam compiler, the vector timing model, the
 gather/scatter engine, or the fault-recovery orchestration shows up
 as a diff against a file in version control, where it can be reviewed

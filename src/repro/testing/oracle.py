@@ -1,16 +1,14 @@
 """The differential oracle: run a case on every kernel tier, compare.
 
-PR 1 split the simulator into a fast path (URGENT fast lane, decoded-
-instruction cache, memoized vector-form timing) and a
-``REPRO_SLOW_KERNEL=1`` reference path; the turbo tier (basic-block
-translation, resume trampolining) made it three, and the vector tier
-(columnar SoA event queue, batched vector forms) makes it four, with
-the contract that all tiers produce bit-identical architectural
-results.  This module is the machinery that checks the contract
-mechanically: a *case* is a JSON-able spec plus an
-``execute(spec) -> outcome`` function; the oracle executes it once
-under each tier and structurally diffs every optimized tier's outcome
-against the reference tier's.
+The simulator has two kernel tiers — the ``REPRO_SLOW_KERNEL=1``
+reference path and the default turbo tier (URGENT fast lane, resume
+trampolining, decoded-instruction cache and basic-block translation,
+memoized and batched vector forms) — with the contract that both
+produce bit-identical architectural results.  This module is the
+machinery that checks the contract mechanically: a *case* is a
+JSON-able spec plus an ``execute(spec) -> outcome`` function; the
+oracle executes it once under each tier and structurally diffs the
+turbo outcome against the reference outcome.
 
 Outcomes are plain JSON-able data (dicts/lists/ints/strings): the
 generators serialise floats as bit patterns and memory as digests, so
@@ -20,27 +18,24 @@ rendered, shrunk, and pinned to disk without loss.
 
 from dataclasses import dataclass, field
 
-from repro.events.engine import force_kernel
+from repro.events.engine import KERNEL_TIERS, force_kernel
 
 
 @dataclass
 class DiffReport:
     """Result of one differential execution.
 
-    ``slow`` holds the reference-tier outcome; ``fast``, ``turbo``,
-    and ``vector`` the optimized tiers' outcomes (``turbo``/``vector``
-    are ``None`` when fewer tiers were compared, e.g. in unit tests
-    that build reports by hand).
+    ``slow`` holds the reference-tier outcome and ``turbo`` the turbo
+    tier's (either is ``None`` when that tier did not run, e.g. for
+    tier-independent generators or reports built by hand).
     """
 
     diverged: bool
     #: Human-readable paths into the outcome where the kernels differ,
     #: each prefixed with the diverging tier's name.
     details: list = field(default_factory=list)
-    fast: object = None
     slow: object = None
     turbo: object = None
-    vector: object = None
 
     def summary(self, limit: int = 5) -> str:
         if not self.diverged:
@@ -90,44 +85,55 @@ def diff_outcomes(fast, slow, path="$") -> list:
     return diffs
 
 
-def differential(execute, spec, invariant=None) -> DiffReport:
-    """Execute ``spec`` on every kernel tier and diff vs reference.
+def differential(execute, spec, invariant=None, tiers=KERNEL_TIERS):
+    """Execute ``spec`` on each of ``tiers`` and diff vs reference.
 
-    Runs the reference tier once, then each optimized tier (fast,
-    turbo, vector), diffing every optimized outcome against the
-    reference outcome.  ``execute`` must build its entire scenario
-    (engines, CPUs, vector units) from scratch inside the call — the
-    kernel choice is sampled at construction time, and any object
-    smuggled in from outside would carry the wrong kernel.
+    Runs the reference tier, then the turbo tier, diffing the turbo
+    outcome against the reference outcome.  ``execute`` must build
+    its entire scenario (engines, CPUs, vector units) from scratch
+    inside the call — the kernel choice is sampled at construction
+    time, and any object smuggled in from outside would carry the
+    wrong kernel.
 
     ``invariant``, when given, is an ``outcome -> [problem, ...]``
     check applied to every tier's outcome — for properties that must
     hold *within* one execution rather than between tiers (e.g. an
     optimized compile of the same program reaching the same result).
     Invariant problems count as divergences and are reported with the
-    tier they occurred on.
+    tier they occurred on.  A single-tier ``tiers`` checks only the
+    invariant.
     """
-    with force_kernel(tier="reference"):
-        slow = execute(spec)
-    with force_kernel(tier="fast"):
-        fast = execute(spec)
-    with force_kernel(tier="turbo"):
-        turbo = execute(spec)
-    with force_kernel(tier="vector"):
-        vector = execute(spec)
-    details = [f"fast {d}" for d in diff_outcomes(fast, slow)]
-    details += [f"turbo {d}" for d in diff_outcomes(turbo, slow)]
-    details += [f"vector {d}" for d in diff_outcomes(vector, slow)]
+    outcomes = {}
+    for tier in tiers:
+        with force_kernel(tier):
+            outcomes[tier] = execute(spec)
+    slow = outcomes.get("reference")
+    turbo = outcomes.get("turbo")
+    details = []
+    if "reference" in outcomes and "turbo" in outcomes:
+        details += [f"turbo {d}" for d in diff_outcomes(turbo, slow)]
     if invariant is not None:
-        for tier, outcome in (("reference", slow), ("fast", fast),
-                              ("turbo", turbo), ("vector", vector)):
+        for tier, outcome in outcomes.items():
             details += [f"{tier} invariant: {problem}"
                         for problem in invariant(outcome)]
-    return DiffReport(bool(details), details, fast, slow, turbo, vector)
+    return DiffReport(bool(details), details, slow, turbo)
+
+
+def check_case(generator, spec) -> DiffReport:
+    """Run one generator case through :func:`differential`.
+
+    Uses the generator's ``invariant`` hook when it has one, and its
+    ``TIERS`` when it declares them: generators whose outcomes are
+    tier-independent by construction (the service and net chaos
+    fuzzers pin every job to one tier) run once instead of per tier.
+    """
+    return differential(generator.execute, spec,
+                        invariant=getattr(generator, "invariant", None),
+                        tiers=getattr(generator, "TIERS", KERNEL_TIERS))
 
 
 def check_execution_error(execute, spec):
-    """Run ``execute`` under the fast kernel, translating any exception
+    """Run ``execute`` on the current kernel, translating any exception
     into an ``{"error": ...}`` outcome.
 
     Generators use this to keep *expected* model errors (deadlock,

@@ -16,7 +16,7 @@ come back.
 import json
 import os
 
-from repro.testing.oracle import differential
+from repro.testing.oracle import check_case
 
 
 def spec_size(spec) -> int:
@@ -35,10 +35,9 @@ def shrink(generator, spec, max_executions: int = 150):
     module exposing ``execute`` and ``shrink_candidates`` (and
     optionally ``invariant`` — kept in force while shrinking so an
     invariant-only divergence shrinks against the same predicate that
-    caught it).
+    caught it — and ``TIERS``; see :func:`check_case`).
     """
-    invariant = getattr(generator, "invariant", None)
-    report = differential(generator.execute, spec, invariant=invariant)
+    report = check_case(generator, spec)
     if not report.diverged:
         raise ValueError("spec does not diverge; nothing to shrink")
     executions = 1
@@ -51,8 +50,7 @@ def shrink(generator, spec, max_executions: int = 150):
             if spec_size(candidate) >= spec_size(spec):
                 continue
             try:
-                cand_report = differential(generator.execute, candidate,
-                                           invariant=invariant)
+                cand_report = check_case(generator, candidate)
             except Exception:
                 # A candidate that crashes outright is not a valid
                 # reproducer of *this* divergence; skip it.

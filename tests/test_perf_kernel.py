@@ -1,9 +1,9 @@
-"""Fast/turbo-kernel regression tests.
+"""Turbo-kernel regression tests.
 
 The perf work in the event kernel and the CP interpreter must never
 change a simulated-time number.  These tests run the same workloads on
-every kernel tier (reference, fast, turbo) and demand bit-identical
-traces, plus unit coverage for the pieces the optimized tiers added:
+both kernel tiers (reference, turbo) and demand bit-identical traces,
+plus unit coverage for the pieces the turbo tier added:
 half-up delay rounding, the decoded-instruction cache and its
 invalidation, basic-block translation and its safe-cost tables, and
 the engine profiling counters.
@@ -16,7 +16,7 @@ from repro.cp import CPU, assemble
 from repro.cp.isa import CYCLE_COSTS
 from repro.events import Engine, Interrupt
 from repro.events.channel import Channel, Store
-from repro.events.engine import KERNEL_TIERS, Timeout, URGENT
+from repro.events.engine import Timeout, force_kernel
 from repro.events.resources import Resource, hold
 from repro.testing import gen_cp
 from repro.testing.oracle import differential
@@ -82,36 +82,21 @@ def _mixed_workload():
     return eng, trace
 
 
-def _in_mode(monkeypatch, slow, fn):
-    if slow:
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-    else:
-        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_VECTOR_KERNEL", raising=False)
-    return fn()
-
-
-def _in_tier(monkeypatch, tier, fn):
-    monkeypatch.setenv("REPRO_SLOW_KERNEL",
-                       "1" if tier == "reference" else "0")
-    monkeypatch.setenv("REPRO_TURBO_KERNEL",
-                       "1" if tier == "turbo" else "0")
-    monkeypatch.setenv("REPRO_VECTOR_KERNEL",
-                       "1" if tier == "vector" else "0")
-    return fn()
+def _in_tier(tier, fn):
+    with force_kernel(tier):
+        return fn()
 
 
 class TestKernelEquivalence:
-    def test_mixed_workload_trace_identical(self, monkeypatch):
-        eng_ref, ref = _in_tier(monkeypatch, "reference", _mixed_workload)
+    def test_mixed_workload_trace_identical(self):
+        eng_ref, ref = _in_tier("reference", _mixed_workload)
         assert not eng_ref.fast_kernel
-        for tier in ("fast", "turbo"):
-            eng, trace = _in_tier(monkeypatch, tier, _mixed_workload)
-            assert eng.fast_kernel
-            assert trace == ref
-            assert eng.now == eng_ref.now
+        eng, trace = _in_tier("turbo", _mixed_workload)
+        assert eng.fast_kernel
+        assert trace == ref
+        assert eng.now == eng_ref.now
 
-    def test_run_until_time_identical(self, monkeypatch):
+    def test_run_until_time_identical(self):
         def run(until):
             eng = Engine()
             ticks = []
@@ -126,10 +111,47 @@ class TestKernelEquivalence:
             return eng.now, ticks
 
         for until in (1, 7, 50, 70):
-            ref = _in_tier(monkeypatch, "reference", lambda: run(until))
-            for tier in ("fast", "turbo"):
-                assert _in_tier(monkeypatch, tier,
-                                lambda: run(until)) == ref
+            ref = _in_tier("reference", lambda: run(until))
+            assert _in_tier("turbo", lambda: run(until)) == ref
+
+
+def _flood(ticks, until=None):
+    """Pre-scheduled scattered timers plus a late rendezvous tick."""
+    eng = Engine()
+    fired = []
+
+    def watcher():
+        yield eng.timeout(1000)
+        fired.append(eng.now)
+
+    eng.process(watcher())
+    for i in range(ticks):
+        eng.timeout((i * 2654435761) % 2000 + 1)
+    if until is None:
+        eng.run()
+    else:
+        eng.run(until=until)
+    return eng, fired
+
+
+class TestTimerFlood:
+    """A large pending set drained in time order: pop order, ``now``,
+    and ``until`` handling must match the reference heap exactly."""
+
+    def test_flood_identical_to_reference(self):
+        ref, ref_fired = _in_tier("reference", lambda: _flood(4096))
+        eng, fired = _in_tier("turbo", lambda: _flood(4096))
+        assert (eng.now, fired) == (ref.now, ref_fired)
+        assert eng.events_processed == ref.events_processed
+
+    def test_flood_until_time_identical(self):
+        for until in (1, 500, 1000, 1500, 5000):
+            ref, ref_fired = _in_tier(
+                "reference", lambda: _flood(4096, until=until))
+            eng, fired = _in_tier(
+                "turbo", lambda: _flood(4096, until=until))
+            assert (eng.now, fired) == (ref.now, ref_fired)
+            assert eng.events_processed == ref.events_processed
 
 
 class TestTimeoutRounding:
@@ -189,33 +211,32 @@ class TestDecodedCache:
         cpu.run()
         return cpu.areg, cpu.instructions, cpu.cycles
 
-    def test_cache_matches_reference_interpreter(self, monkeypatch):
-        ref = _in_tier(monkeypatch, "reference", self._run)
+    def test_cache_matches_reference_interpreter(self):
+        ref = _in_tier("reference", self._run)
         assert ref[0] == 30  # 10 iterations of +3
-        for tier in ("fast", "turbo"):
-            assert _in_tier(monkeypatch, tier, self._run) == ref
+        assert _in_tier("turbo", self._run) == ref
 
-    def test_cache_populated_only_on_fast_path(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-        cpu = CPU(assemble(PROGRAM).code)
+    def test_cache_populated_only_on_fast_path(self):
+        with force_kernel("turbo"):
+            cpu = CPU(assemble(PROGRAM).code)
         cpu.run()
-        assert cpu._use_cache and cpu._decoded
+        assert cpu._fast and cpu._decoded
 
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-        ref = CPU(assemble(PROGRAM).code)
+        with force_kernel("reference"):
+            ref = CPU(assemble(PROGRAM).code)
         ref.run()
-        assert not ref._use_cache and not ref._decoded
+        assert not ref._fast and not ref._decoded
 
-    def test_patch_code_invalidates_cache(self, monkeypatch):
+    def test_patch_code_invalidates_cache(self):
         # ldc 5 / ldc 7 / add / terminate — then patch the second
         # constant after the first full run and rerun from entry.
-        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
         prog = assemble("ldc 5\nldc 7\nadd\nterminate")
-        cpu = CPU(prog.code)
+        with force_kernel("turbo"):
+            cpu = CPU(prog.code)
         cpu.run()
         assert cpu.areg == 12
-        # Populated by the first run: decoded chains (fast tier)
-        # or translated blocks (turbo tier).
+        # Populated by the first run: decoded chains or translated
+        # blocks.
         assert cpu._decoded or cpu._blocks
 
         patched = bytearray(assemble("ldc 5\nldc 9\nadd\nterminate").code)
@@ -286,59 +307,51 @@ class TestTurboBlocks:
             cpu.step()
         return cpu.snapshot_state(), cpu
 
-    def test_mid_block_patch_reexecutes_identically(self, monkeypatch):
+    def test_mid_block_patch_reexecutes_identically(self):
         """A patch landing mid-block must invalidate the translated
-        block and re-execute bit-identically on all three tiers."""
+        block and re-execute bit-identically on both tiers."""
         report = differential(gen_cp.execute, _MID_BLOCK_PATCH_SPEC)
         assert not report.diverged, report.summary()
         assert report.turbo["patches_applied"] == 2
 
-    def test_mid_block_patch_invalidates_block(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
-        state, cpu = self._run_with_patches(_MID_BLOCK_PATCH_SPEC)
+    def test_mid_block_patch_invalidates_block(self):
+        state, cpu = _in_tier(
+            "turbo", lambda: self._run_with_patches(_MID_BLOCK_PATCH_SPEC))
         # The pad loop really was translated and re-translated: each
         # patch overlapped a live block and dropped it.
         assert cpu.block_translations >= 2
         assert cpu.block_invalidations >= 2
         assert cpu.block_hits > 0
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "0")
-        fast_state, fast_cpu = self._run_with_patches(_MID_BLOCK_PATCH_SPEC)
-        assert fast_cpu.block_translations == 0
-        assert state == fast_state
+        ref_state, ref_cpu = _in_tier(
+            "reference",
+            lambda: self._run_with_patches(_MID_BLOCK_PATCH_SPEC))
+        assert ref_cpu.block_translations == 0
+        assert state == ref_state
 
-    def test_block_counters_and_tier_reported(self, monkeypatch):
+    def test_block_counters_and_tier_reported(self):
         def run():
             cpu = CPU(assemble(PROGRAM).code)
             cpu.run()
             return cpu
 
-        turbo = _in_tier(monkeypatch, "turbo", run)
+        turbo = _in_tier("turbo", run)
         stats = turbo.cache_stats()
         assert stats["kernel_tier"] == "turbo"
         assert stats["block_translations"] > 0
         assert stats["block_hits"] > 0
         assert stats["block_chains"] >= 2 * stats["block_translations"]
 
-        fast = _in_tier(monkeypatch, "fast", run)
-        stats = fast.cache_stats()
-        assert stats["kernel_tier"] == "fast"
-        assert stats["block_translations"] == 0
-        assert stats["decoded_hits"] > 0
-
-        ref = _in_tier(monkeypatch, "reference", run)
+        ref = _in_tier("reference", run)
         stats = ref.cache_stats()
         assert stats["kernel_tier"] == "reference"
         assert stats["decoded_hits"] == 0 and stats["block_hits"] == 0
 
-    def test_step_barrier_pauses_block_at_chain_boundary(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
+    def test_step_barrier_pauses_block_at_chain_boundary(self):
         # Eight single-byte safe instructions then terminate: one block.
-        cpu = CPU(assemble("ldc 1\nadc 1\nadc 1\nadc 1\n"
-                           "adc 1\nadc 1\nadc 1\nadc 1\nterminate").code)
+        with force_kernel("turbo"):
+            cpu = CPU(assemble("ldc 1\nadc 1\nadc 1\nadc 1\n"
+                               "adc 1\nadc 1\nadc 1\nadc 1\n"
+                               "terminate").code)
         cpu.step_barrier = 3
         cpu.step()
         # Control returned at the first chain boundary at/after byte 3,
@@ -350,16 +363,14 @@ class TestTurboBlocks:
             cpu.step()
         assert cpu.areg == 8
 
-    def test_safe_cost_tables_pinned_to_handlers(self, monkeypatch):
+    def test_safe_cost_tables_pinned_to_handlers(self):
         """Every static block cost must equal what the live handler
         returns — a drifting handler cost would silently skew turbo
         cycle counts."""
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
 
         def fresh():
-            cpu = CPU(assemble("terminate").code)
+            with force_kernel("turbo"):
+                cpu = CPU(assemble("terminate").code)
             # A benign, valid machine state for every safe handler:
             # Areg holds a word-aligned scratch address (valid for
             # ldnl/stnl, non-zero for div/rem), Breg/Creg small ints.
@@ -389,9 +400,8 @@ class TestTurboBlocks:
 
 
 class TestEngineStats:
-    def test_counters_and_stats_surface(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-        eng, _ = _mixed_workload()
+    def test_counters_and_stats_surface(self):
+        eng, _ = _in_tier("turbo", _mixed_workload)
         stats = engine_stats(eng)
         assert stats["fast_kernel"] is True
         assert stats["events_processed"] > 0
@@ -403,16 +413,15 @@ class TestEngineStats:
         text = engine_stats_table(eng).render()
         assert "Event-kernel profile" in text
 
-    def test_reference_kernel_reports_no_lane_traffic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-        eng, _ = _mixed_workload()
+    def test_reference_kernel_reports_no_lane_traffic(self):
+        eng, _ = _in_tier("reference", _mixed_workload)
         stats = engine_stats(eng)
         assert stats["fast_kernel"] is False
         assert stats["kernel_tier"] == "reference"
         assert stats["fast_lane_hits"] == 0
         assert stats["fast_lane_fraction"] == 0.0
 
-    def _cp_stats(self, monkeypatch, tier):
+    def _cp_stats(self, tier):
         from repro.core.specs import PAPER_SPECS
 
         def run():
@@ -422,13 +431,13 @@ class TestEngineStats:
                                                      yield_every=16)))
             return engine_stats(eng)
 
-        return _in_tier(monkeypatch, tier, run)
+        return _in_tier(tier, run)
 
-    def test_cp_cache_counters_pinned(self, monkeypatch):
+    def test_cp_cache_counters_pinned(self):
         """The decoded/translated-cache counters for a fixed program
         are deterministic — pin them, so any change to chain decoding,
         block formation, or invalidation is a reviewed diff here."""
-        stats = self._cp_stats(monkeypatch, "turbo")
+        stats = self._cp_stats("turbo")
         assert stats["kernel_tier"] == "turbo"
         assert stats["cp_cache"] == {
             "cpus": 1,
@@ -441,33 +450,18 @@ class TestEngineStats:
             "block_invalidations": 0,
         }
 
-        stats = self._cp_stats(monkeypatch, "fast")
-        assert stats["kernel_tier"] == "fast"
-        assert stats["cp_cache"] == {
-            "cpus": 1,
-            "decoded_hits": 80,
-            "decoded_misses": 15,
-            "decoded_invalidations": 0,
-            "block_hits": 0,
-            "block_translations": 0,
-            "block_chains": 0,
-            "block_invalidations": 0,
-        }
-
-        stats = self._cp_stats(monkeypatch, "reference")
+        stats = self._cp_stats("reference")
         assert stats["kernel_tier"] == "reference"
         cache = stats["cp_cache"]
         assert cache["cpus"] == 1
         assert all(v == 0 for k, v in cache.items() if k != "cpus")
 
-    def test_stats_table_includes_cp_cache_rows(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
+    def test_stats_table_includes_cp_cache_rows(self):
         from repro.core.specs import PAPER_SPECS
 
-        eng = Engine()
-        cpu = CPU(assemble(PROGRAM).code)
+        with force_kernel("turbo"):
+            eng = Engine()
+            cpu = CPU(assemble(PROGRAM).code)
         eng.run(until=eng.process(cpu.as_process(eng, PAPER_SPECS)))
         text = engine_stats_table(eng).render()
         assert "kernel_tier" in text

@@ -245,8 +245,8 @@ class TestFaultTolerantRun:
                     "digest": workload.digest(run),
                     "fault_log": eng.fault_log.as_json()}
 
-        with force_kernel(slow=False):
-            fast = json.loads(json.dumps(story()))
-        with force_kernel(slow=True):
+        with force_kernel(tier="turbo"):
+            turbo = json.loads(json.dumps(story()))
+        with force_kernel(tier="reference"):
             slow = json.loads(json.dumps(story()))
-        assert fast == slow
+        assert turbo == slow

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.testing.fuzz import GENERATORS
-from repro.testing.oracle import differential
+from repro.testing.oracle import check_case
 from repro.testing.shrink import load_repros
 
 REPRO_DIR = os.path.join(os.path.dirname(__file__), "repros")
@@ -25,8 +25,7 @@ _REPROS = list(load_repros(REPRO_DIR))
 )
 def test_repro_no_longer_diverges(path, payload):
     generator = GENERATORS[payload["generator"]]
-    report = differential(generator.execute, payload["spec"],
-                          invariant=getattr(generator, "invariant", None))
+    report = check_case(generator, payload["spec"])
     assert not report.diverged, (
         f"{os.path.basename(path)} diverges again: {report.summary()}"
     )

@@ -143,3 +143,13 @@ def test_malformed_batch_file_rejected(tmp_path):
     with pytest.raises(ValueError):
         main(["batch", str(path),
               "--cache-dir", str(tmp_path / "cache")])
+
+
+@pytest.mark.parametrize("tier", ["fast", "vector"])
+def test_tier_flag_accepts_only_kernel_tiers(tier, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["key", "--kind", "vector", "--spec", "{}", "--tier", tier])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["key", "--kind", "vector", "--spec", "{}",
+                 "--tier", "reference"]) == 0

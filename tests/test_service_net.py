@@ -9,6 +9,7 @@ import zlib
 
 import pytest
 
+from repro.events.engine import KERNEL_TIERS
 from repro.service import (
     JobSpec,
     ResultCache,
@@ -37,8 +38,6 @@ VEC_SPEC = {
     "ops": [{"form": "VADD", "n": 8, "precision": 64, "seed": 3,
              "scalars": [], "specials": False}],
 }
-
-ALL_TIERS = ("reference", "fast", "turbo", "vector")
 
 
 def vec_job(tier="turbo", seed=3):
@@ -209,7 +208,7 @@ def test_remote_submit_round_trips_all_tiers(server, service):
     """The acceptance bar: remote submit/wait must be byte-identical
     to in-process execution for the same job key, on every tier."""
     with client_for(server) as client:
-        for tier in ALL_TIERS:
+        for tier in KERNEL_TIERS:
             job = vec_job(tier=tier)
             record = client.submit(job, wait=60)
             assert record["status"] in ("done", "cached")
@@ -243,6 +242,40 @@ def test_remote_unknown_kind_is_structured(server):
         with pytest.raises(RemoteJobError) as err:
             client.submit({"kind": "no.such.kind"}, wait=5)
     assert err.value.code == "unknown_kind"
+
+
+def test_remote_unknown_tier_is_an_error_frame(server, service):
+    with client_for(server) as client:
+        with pytest.raises(RemoteJobError) as err:
+            client.submit(vec_job(tier="vector"), wait=5)
+        assert client.ping()["pong"] is True  # connection still usable
+    assert err.value.code == "unknown_tier"
+    assert err.value.error["tier"] == "vector"
+    assert service.queue_depth() == 0
+
+
+def test_handler_exception_is_counted_and_logged(server, service,
+                                                 monkeypatch, capfd):
+    async def broken(reader, writer, data):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(server.server, "_serve_frames", broken)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10)
+    sock.connect(server.server.unix_path)
+    try:
+        sock.sendall(encode_frame(request(1, "ping")))
+        assert sock.recv(65536) == b""  # connection closed
+    finally:
+        sock.close()
+    monkeypatch.undo()
+    assert server.server.counters.handler_errors == 1
+    assert "RuntimeError: handler bug" in capfd.readouterr().err
+    # The accept loop survived: the next connection is served, and
+    # the counter reaches service_stats.
+    with client_for(server) as client:
+        assert client.ping()["pong"] is True
+        assert client.stats()["net"]["handler_errors"] == 1
 
 
 def test_streaming_submit_pushes_lifecycle_then_result(server):

@@ -66,6 +66,29 @@ def simple(server, method, path, body=None, headers=()):
     return status, body_bytes
 
 
+def test_unknown_tier_is_a_400(server):
+    body = json.dumps({"kind": "vector", "spec": VEC_SPEC,
+                       "tier": "fast"})
+    status, reply = simple(server, "POST", "/jobs", body=body)
+    assert status == 400
+    error = json.loads(reply)
+    assert error["error"] == "unknown_tier"
+    assert error["known"] == ["reference", "turbo"]
+
+
+def test_unknown_tier_in_http_batch_is_rejected_per_job(server):
+    body = json.dumps({"jobs": [
+        {"kind": "vector", "spec": VEC_SPEC, "tier": "turbo"},
+        {"kind": "vector", "spec": VEC_SPEC, "tier": "vector"},
+    ]})
+    status, reply = simple(server, "POST", "/jobs?wait=60", body=body)
+    assert status == 200
+    good, bad = json.loads(reply)["jobs"]
+    assert good["status"] in ("done", "cached")
+    assert bad["status"] == "rejected"
+    assert bad["error"]["error"] == "unknown_tier"
+
+
 def test_submit_wait_and_fetch_roundtrip(server):
     body = json.dumps({"kind": "vector", "spec": VEC_SPEC,
                        "tier": "turbo"})

@@ -12,6 +12,7 @@ from repro.service import (
     JobSpec,
     ResultCache,
     SimulationService,
+    UnknownTierError,
     canonical_json,
     register_workload,
     unregister_workload,
@@ -63,9 +64,8 @@ def test_end_to_end_matches_direct_execution(service):
 def test_execute_job_pins_the_addressed_tier():
     payload = JobSpec(kind="vector", spec=VEC_SPEC,
                       tier="reference").payload()
-    # Ambient tier is a fast tier (turbo by default; conformance runs
-    # force others); the job must still run on the reference tier its
-    # key was addressed under.
+    # Ambient tier is turbo (the default); the job must still run on
+    # the reference tier its key was addressed under.
     assert kernel_tier() != "reference"
     reference = execute_job(payload)
     turbo = execute_job(JobSpec(kind="vector", spec=VEC_SPEC,
@@ -541,3 +541,97 @@ def test_stats_net_counters_surface_when_attached(service):
     assert "net_connections" in rendered
     assert "net_rejected_auth" in rendered
     assert "net_streaming_subscribers" in rendered
+
+
+# -- kernel tiers at the service boundary -----------------------------
+
+def test_reference_drain_does_not_leak_tier_to_other_threads(
+        monkeypatch):
+    """A tierless submit on one thread resolves the ambient tier even
+    while another thread drains a reference-tier job (which runs
+    under ``force_kernel``)."""
+    monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
+    running = threading.Event()
+    release = threading.Event()
+
+    def runner(spec):
+        running.set()
+        assert release.wait(30)
+        return {"tier": kernel_tier()}
+
+    register_workload("test.blocking", runner, replace=True)
+    service = SimulationService(use_cache=False, pool_jobs=1)
+    try:
+        pinned = service.submit(JobSpec(kind="test.blocking",
+                                        spec={"n": 1},
+                                        tier="reference"))
+        drainer = threading.Thread(target=service.drain)
+        drainer.start()
+        try:
+            assert running.wait(30)
+            tierless = service.submit(JobSpec(kind="test.blocking",
+                                              spec={"n": 2}))
+            assert tierless.job.tier == "turbo"
+        finally:
+            release.set()
+            drainer.join(30)
+        assert not drainer.is_alive()
+        assert pinned.result() == {"tier": "reference"}
+        assert tierless.result() == {"tier": "turbo"}
+    finally:
+        unregister_workload("test.blocking")
+
+
+@pytest.mark.parametrize("tier", ["warp", "fast", "vector"])
+def test_unknown_tier_rejected_at_submit(tmp_path, tier):
+    service = SimulationService(use_cache=False,
+                                journal_dir=str(tmp_path / "journal"))
+    with pytest.raises(UnknownTierError) as err:
+        service.submit(JobSpec(kind="vector", spec=VEC_SPEC, tier=tier))
+    assert isinstance(err.value, AdmissionError)
+    record = err.value.as_json()
+    assert record["error"] == "unknown_tier"
+    assert record["tier"] == tier
+    assert record["known"] == ["reference", "turbo"]
+    # Never keyed into the queue or the journal.
+    assert service.queue_depth() == 0
+    assert service.stats()["rejected"] == 1
+    assert service.journal.replay().entries == {}
+
+
+def test_unknown_tier_in_batch_becomes_rejected_future(service):
+    good, bad = service.submit_batch([
+        JobSpec(kind="vector", spec=VEC_SPEC, tier="turbo"),
+        JobSpec(kind="vector", spec=VEC_SPEC, tier="fast"),
+    ])
+    assert bad.status == "rejected"
+    assert "unknown kernel tier 'fast'" in bad.error
+    assert service.queue_depth() == 1
+    assert good.result() is not None
+
+
+def test_replay_fails_jobs_journaled_under_a_retired_tier(tmp_path):
+    from repro.service import JobJournal
+    from repro.service.jobkey import job_key
+
+    journal_dir = str(tmp_path / "journal")
+    journal = JobJournal(journal_dir)
+    old = JobSpec(kind="vector", spec=VEC_SPEC, tier="vector")
+    live = JobSpec(kind="vector", spec=VEC_SPEC, tier="turbo")
+    for seq, job in enumerate((old, live), start=1):
+        journal.append("SUBMIT", key=job_key(job), job=job.payload(),
+                       priority=0, seq=seq, tenant=None)
+    journal.close()
+
+    service = SimulationService(use_cache=False, journal_dir=journal_dir)
+    assert service.journal_replay["failed_unknown_tier"] == 1
+    assert [f.key for f in service.recovered] == [job_key(live)]
+    assert service.stats()["failed"] == 1
+    service.drain()
+    service.journal.close()
+
+    entries = JobJournal(journal_dir).replay().entries
+    assert entries[job_key(old)]["status"] == "failed"
+    assert "unknown kernel tier 'vector'" in \
+        entries[job_key(old)]["error"]
+    assert entries[job_key(live)]["status"] == "done"

@@ -10,14 +10,16 @@ spec → same outcome) is what makes reproducer files meaningful.
 import json
 import os
 import random
+import threading
 
 import pytest
 
-from repro.events.engine import force_kernel
+from repro.events.engine import force_kernel, kernel_tier
 from repro.testing import gen_cp, gen_events, gen_faults, gen_occam, \
     gen_vector
 from repro.testing.fuzz import GENERATORS, fuzz, main
-from repro.testing.oracle import DiffReport, diff_outcomes, differential
+from repro.testing.oracle import DiffReport, check_case, diff_outcomes, \
+    differential
 from repro.testing.shrink import shrink, spec_size, write_repro
 
 ALL_GENERATORS = sorted(GENERATORS)
@@ -31,7 +33,7 @@ class TestOracle:
 
     def test_kernel_dependent_outcome_diverges(self):
         def probe(spec):
-            return {"kernel": os.environ.get("REPRO_SLOW_KERNEL")}
+            return {"kernel": kernel_tier()}
 
         report = differential(probe, {})
         assert report.diverged
@@ -69,7 +71,7 @@ class TestGeneratorDeterminism:
     def test_execute_is_deterministic_on_one_kernel(self, name):
         generator = GENERATORS[name]
         spec = generator.generate(random.Random(99))
-        with force_kernel(slow=False):
+        with force_kernel(tier="turbo"):
             first = json.loads(json.dumps(generator.execute(spec)))
             second = json.loads(json.dumps(generator.execute(spec)))
         assert first == second
@@ -79,7 +81,7 @@ class TestGeneratorDeterminism:
         generator = GENERATORS[name]
         for seed in (1, 2, 3):
             spec = generator.generate(random.Random(seed))
-            report = differential(generator.execute, spec)
+            report = check_case(generator, spec)
             assert not report.diverged, report.summary()
 
     @pytest.mark.parametrize("name", ALL_GENERATORS)
@@ -99,7 +101,7 @@ class _FakeGenerator:
     @staticmethod
     def execute(spec):
         diverging = "bad" in spec["items"]
-        marker = os.environ.get("REPRO_SLOW_KERNEL") if diverging else "-"
+        marker = kernel_tier() if diverging else "-"
         return {"marker": marker, "n": len(spec["items"])}
 
     @staticmethod
@@ -134,7 +136,7 @@ class TestShrinker:
     def test_write_repro_round_trips(self, tmp_path):
         report = DiffReport(
             diverged=True, details=["$.x: 1 != 2"],
-            fast={"x": 1}, slow={"x": 2},
+            turbo={"x": 1}, slow={"x": 2},
         )
         path = write_repro(str(tmp_path), "fake", 7, 3,
                            {"items": ["bad"]}, report)
@@ -189,21 +191,61 @@ class TestFuzzCampaign:
             main(["--generators", "nope", "--repro-dir", str(tmp_path)])
 
 
+def _cell_tier(_cell):
+    return kernel_tier()
+
+
 class TestForceKernel:
-    def test_sets_and_restores_env(self, monkeypatch):
+    def test_sets_and_restores_tier(self, monkeypatch):
         monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-        with force_kernel(slow=True):
-            assert os.environ["REPRO_SLOW_KERNEL"] == "1"
-            with force_kernel(slow=False):
-                assert os.environ["REPRO_SLOW_KERNEL"] == "0"
-            assert os.environ["REPRO_SLOW_KERNEL"] == "1"
-        assert "REPRO_SLOW_KERNEL" not in os.environ
+        assert kernel_tier() == "turbo"
+        with force_kernel(tier="reference"):
+            assert kernel_tier() == "reference"
+            with force_kernel(tier="turbo"):
+                assert kernel_tier() == "turbo"
+            assert kernel_tier() == "reference"
+        assert kernel_tier() == "turbo"
 
     def test_restores_prior_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-        with force_kernel(slow=False):
-            assert os.environ["REPRO_SLOW_KERNEL"] == "0"
-        assert os.environ["REPRO_SLOW_KERNEL"] == "1"
+        assert kernel_tier() == "reference"
+        with force_kernel(tier="turbo"):
+            assert kernel_tier() == "turbo"
+        assert kernel_tier() == "reference"
+
+    def test_leaves_environ_unchanged(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
+        before = dict(os.environ)
+        for tier in ("reference", "turbo"):
+            with force_kernel(tier=tier):
+                assert dict(os.environ) == before
+        assert dict(os.environ) == before
+
+    def test_scoped_to_the_calling_thread(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
+        seen = []
+        with force_kernel(tier="reference"):
+            worker = threading.Thread(
+                target=lambda: seen.append(kernel_tier()))
+            worker.start()
+            worker.join(30)
+        assert not worker.is_alive()
+        assert seen == ["turbo"]
+
+    def test_fork_pool_children_inherit(self, monkeypatch):
+        from repro.parallel import run_cells
+
+        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
+        with force_kernel(tier="reference"):
+            sweep = run_cells(_cell_tier, [0, 1], jobs=2, isolate=True)
+        assert [cell.value for cell in sweep.results] == \
+            ["reference", "reference"]
+
+    def test_rejects_unknown_and_retired_tiers(self):
+        for tier in ("fast", "vector", "warp"):
+            with pytest.raises(ValueError, match="unknown kernel tier"):
+                with force_kernel(tier=tier):
+                    pass
 
 
 class TestFaultGenerator:
