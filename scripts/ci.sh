@@ -16,7 +16,8 @@ python -m pytest tests/ -x -q
 echo "== kernel equivalence tests (reference kernel) =="
 REPRO_SLOW_KERNEL=1 python -m pytest \
     tests/test_perf_kernel.py tests/test_events_ordering.py \
-    tests/test_events_engine.py tests/test_events_channels.py -x -q
+    tests/test_events_engine.py tests/test_events_channels.py \
+    tests/test_resource_claims.py -x -q
 
 echo "== chain-equivalence tests (fused chain vs per-op, both tiers) =="
 # The model-layer chain pipeline must match the per-op program

@@ -17,7 +17,7 @@ operand in node-local memory and scales linearly — experiment E10.
 import math
 from dataclasses import dataclass
 
-from repro.events import Engine, Mutex
+from repro.events import Engine, Mutex, Request
 from repro.fpu.pipeline import PipelineTiming
 
 
@@ -62,8 +62,9 @@ class SharedBusMachine:
         burst = self.config.burst_bytes
         while nbytes > 0:
             take = min(burst, nbytes)
-            with self.bus.request() as req:
-                yield req
+            with self.bus.acquire() as req:
+                if req.__class__ is Request:
+                    yield req
                 yield self.engine.timeout(self.config.burst_ns(
                     self.processors
                 ))

@@ -24,7 +24,7 @@ from repro.events.engine import (
 )
 from repro.events.channel import Channel, Store
 from repro.events.faultlog import FaultLog, record_fault
-from repro.events.resources import Mutex, Request, Resource, hold
+from repro.events.resources import Held, Mutex, Request, Resource, hold
 from repro.events.errors import (
     DeadlockError,
     Interrupt,
@@ -40,6 +40,7 @@ __all__ = [
     "Engine",
     "Event",
     "FaultLog",
+    "Held",
     "Interrupt",
     "Mutex",
     "Process",

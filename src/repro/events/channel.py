@@ -145,21 +145,6 @@ class Store:
         """A snapshot tuple of buffered items (oldest first)."""
         return tuple(self._items)
 
-    def clear(self) -> int:
-        """Fault-recovery flush: drop every buffered item AND abandon
-        all waiting getters/putters.
-
-        This is deliberately brutal — it exists for the recovery
-        coordinator, which flushes mailboxes after the processes that
-        were waiting on them have already been interrupted.  Abandoned
-        waiter events never fire.  Returns the number of items dropped.
-        """
-        dropped = len(self._items)
-        self._items.clear()
-        self._getters.clear()
-        self._putters.clear()
-        return dropped
-
     def put(self, value):
         """Enqueue ``value``; the event fires once buffered."""
         event = _new_event(Event)

@@ -33,9 +33,10 @@ construction time (see :func:`kernel_tier`):
   vector-form dispatch;
 * ``turbo`` — the default: the fast lane and resume records, an
   inline resume trampoline for processes that yield already-fired
-  events, the CP's decoded-instruction cache and basic-block
-  translator, and the batched vector-form path in
-  :mod:`repro.fpu.vector_forms`.
+  events, inline resource claims
+  (:meth:`~repro.events.resources.Resource.acquire`), the CP's
+  decoded-instruction cache and basic-block translator, and the
+  batched vector-form path in :mod:`repro.fpu.vector_forms`.
 
 Both tiers produce bit-identical simulated-time results; the
 differential fuzzers and golden traces compare them.
@@ -529,9 +530,11 @@ class Process(Event):
                     # waiters, and sits at the head of the lane — the
                     # next dispatch would pop exactly it and resume
                     # this very process.  Do that here: pop it, mark it
-                    # processed, resume inline.  (Uncontended resource
-                    # grants, Store puts, and the getter side of a
-                    # channel rendezvous hit this constantly.)
+                    # processed, resume inline.  (Store puts and the
+                    # getter side of a channel rendezvous hit this
+                    # constantly.  Resource.acquire claims uncontended
+                    # grants under these same conditions without the
+                    # event at all; keep the two in step.)
                     lane.popleft()
                     result.callbacks = None
                     if not result._ok:

@@ -5,6 +5,19 @@ memory port, a link wire, the module's system-board connection.  A
 :class:`Resource` grants up to ``capacity`` concurrent holds, FIFO
 ordered, which is exactly the arbitration the paper's hardware performs
 (single-master ports, one transfer per wire at a time).
+
+Hold sites that yield their request at once call
+:meth:`Resource.acquire` instead of :meth:`Resource.request`::
+
+    with port.acquire() as req:
+        if req.__class__ is Request:
+            yield req
+        ... use the port ...
+
+On the turbo tier, when the grant would be resumed inline by the
+front-of-lane trampoline anyway, ``acquire`` claims the resource on
+the spot and returns an event-free :class:`Held` token; otherwise it
+returns an ordinary :class:`Request` for the caller to yield.
 """
 
 from collections import deque
@@ -41,7 +54,9 @@ class Request(Event):
             resource._users.add(self)
             resource.grants += 1
             self._ok = True
-            self._value = self
+            # None, not self: a self-referencing value would make every
+            # arbitration cyclic garbage, freed only by the cyclic GC.
+            self._value = None
             resource.engine._fire_urgent(self)
         else:
             resource._queue.append(self)
@@ -57,6 +72,28 @@ class Request(Event):
     def __exit__(self, exc_type, exc_value, traceback):
         self.release()
         return False
+
+
+class Held:
+    """A hold claimed inline by :meth:`Resource.acquire`: granted at
+    once, with no event behind it.  Released like a :class:`Request`
+    (idempotently, or by leaving its ``with`` block)."""
+
+    __slots__ = ("resource",)
+
+    def release(self):
+        """Give the resource back (idempotent)."""
+        self.resource._release(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback):
+        self.resource._release(self)
+        return False
+
+
+_new_held = Held.__new__
 
 
 class Resource:
@@ -97,13 +134,40 @@ class Resource:
         granted."""
         return Request(self)
 
+    def acquire(self):
+        """Ask for a hold that the calling process yields at once.
+
+        Returns a granted :class:`Held` token when the turbo kernel's
+        front-of-lane trampoline (:meth:`Process._resume`) would have
+        resumed the grant inline anyway: a process is running, the
+        resource is free with nobody queued, the fast lane is empty,
+        the firing event had a single callback and no URGENT entry
+        waits in the heap.  The claim then advances the engine
+        counters exactly as that inline resume would.  Otherwise --
+        and always on the reference tier -- it returns a
+        :class:`Request`, which the caller must yield.
+        """
+        engine = self.engine
+        if (engine._fast and engine._solo_cb and not engine._lane
+                and not engine._durgent and not self._queue
+                and len(self._users) < self.capacity
+                and engine._active is not None):
+            held = _new_held(Held)
+            held.resource = self
+            self._users.add(held)
+            self.grants += 1
+            engine.events_processed += 1
+            engine.lane_hits += 1
+            return held
+        return Request(self)
+
     def _grant(self):
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
             self._users.add(req)
             self.grants += 1
             req._ok = True
-            req._value = req
+            req._value = None
             self.engine._fire_urgent(req)
 
     def _release(self, req):
@@ -142,8 +206,9 @@ def hold(engine, resource, duration):
     """
     if duration < 0:
         raise SimulationError(f"negative hold duration {duration!r}")
-    with resource.request() as req:
-        yield req
+    with resource.acquire() as req:
+        if req.__class__ is Request:
+            yield req
         start = engine.now
         yield engine.timeout(duration)
     return start

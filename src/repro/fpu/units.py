@@ -9,7 +9,7 @@ with the control processor**; only the vector-form micro-sequencer
 (:mod:`repro.fpu.vector_forms`) coordinates them.
 """
 
-from repro.events import Mutex
+from repro.events import Mutex, Request
 from repro.fpu import softfloat
 from repro.fpu.ieee import format_for
 from repro.fpu.pipeline import PipelineTiming
@@ -70,8 +70,9 @@ class FunctionalUnit:
         path); this models time and contention only.
         """
         duration = self.timing(precision).vector_ns(n)
-        with self.busy.request() as req:
-            yield req
+        with self.busy.acquire() as req:
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(duration)
             self.results += n
             self.busy_ns += duration

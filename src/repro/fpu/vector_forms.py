@@ -39,7 +39,7 @@ warnings.filterwarnings(
     module=r"repro\.fpu\.vector_forms",
 )
 
-from repro.events import Mutex
+from repro.events import Mutex, Request
 from repro.fpu.pipeline import reduction_drain_cycles, vector_ns_array
 from repro.fpu.units import FloatingAdder, FloatingMultiplier
 
@@ -370,9 +370,10 @@ class VectorArithmeticUnit:
         dtype = dtype_for(precision)
         n = self._validate(form, inputs, scalars, precision)
         duration = self.duration(form_name, n, precision)
-        req = self._busy.request()
+        req = self._busy.acquire()
         try:
-            yield req
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(duration)
         finally:
             req.release()
@@ -664,9 +665,10 @@ class VectorArithmeticUnit:
         total = 0
         for d in durations:
             total += d
-        req = self._busy.request()
+        req = self._busy.acquire()
         try:
-            yield req
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(total)
         finally:
             req.release()

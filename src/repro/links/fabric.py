@@ -19,7 +19,7 @@ order, so hold-two-locks cycles cannot form.
 
 import itertools
 
-from repro.events import Store
+from repro.events import Request, Store
 from repro.links.frame import FrameSpec
 from repro.links.link import Message, Wire
 
@@ -67,6 +67,12 @@ class FabricSublink:
         self.frame = endpoint_a.port.frame
         endpoint_a.sublink = self
         endpoint_b.sublink = self
+        # Per sending endpoint: (peer, local tx, remote rx, and the two
+        # wires' arbiters in global uid order).
+        self._routes = {
+            endpoint_a: self._route(endpoint_a, endpoint_b),
+            endpoint_b: self._route(endpoint_b, endpoint_a),
+        }
         #: Payload bytes carried (both directions).
         self.bytes_moved = 0
         self.messages = 0
@@ -104,13 +110,12 @@ class FabricSublink:
             return False
         return self.outage_until is None or start_ns <= self.outage_until
 
-    def other(self, endpoint: FabricEndpoint) -> FabricEndpoint:
-        """The endpoint at the far side."""
-        if endpoint is self.endpoints[0]:
-            return self.endpoints[1]
-        if endpoint is self.endpoints[1]:
-            return self.endpoints[0]
-        raise ValueError("endpoint not on this sublink")
+    @staticmethod
+    def _route(endpoint, peer):
+        tx = endpoint.port.tx
+        rx = peer.port.rx
+        first, second = (tx, rx) if tx.uid < rx.uid else (rx, tx)
+        return peer, tx, rx, first._busy, second._busy
 
     def send_from(self, endpoint: FabricEndpoint, payload, nbytes: int):
         """Process: transmit from ``endpoint`` to the far side.
@@ -120,16 +125,18 @@ class FabricSublink:
         """
         if nbytes < 0:
             raise ValueError("negative message size")
-        peer = self.other(endpoint)
-        tx = endpoint.port.tx
-        rx = peer.port.rx
-        first, second = sorted((tx, rx), key=lambda w: w.uid)
+        try:
+            peer, tx, rx, first, second = self._routes[endpoint]
+        except KeyError:
+            raise ValueError("endpoint not on this sublink") from None
         duration = self.frame.transfer_ns(nbytes)
         sent_at = self.engine.now
-        with first._busy.request() as r1:
-            yield r1
-            with second._busy.request() as r2:
-                yield r2
+        with first.acquire() as r1:
+            if r1.__class__ is Request:
+                yield r1
+            with second.acquire() as r2:
+                if r2.__class__ is Request:
+                    yield r2
                 yield self.engine.timeout(duration)
                 for wire in (tx, rx):
                     wire.bytes_moved += nbytes
@@ -276,7 +283,7 @@ class NodeLinkSet:
         steal port cycles before the message is handed to software.
         """
         endpoint = self.endpoint(slot)
-        message = yield self.endpoint(slot).inbox.get()
+        message = yield endpoint.inbox.get()
         if self._dma_active():
             yield from self._steal_port_cycles(message.nbytes)
         return message

@@ -12,7 +12,7 @@ adapter's business (:mod:`repro.links.sublink`,
 :mod:`repro.links.dma`).
 """
 
-from repro.events import Mutex, Store
+from repro.events import Mutex, Request, Store
 from repro.links.frame import FrameSpec
 
 
@@ -34,8 +34,9 @@ class Wire:
     def transmit(self, nbytes: int):
         """Process: occupy the wire for ``nbytes`` framed bytes."""
         duration = self.frame.transfer_ns(nbytes)
-        with self._busy.request() as req:
-            yield req
+        with self._busy.acquire() as req:
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(duration)
         self.bytes_moved += nbytes
         self.busy_ns += duration

@@ -7,7 +7,7 @@ registers one 1024-byte row per 400 ns.  The two ports are independent
 its own clients — modelled with a capacity-1 resource per port.
 """
 
-from repro.events import Mutex
+from repro.events import Mutex, Request
 
 
 class MemoryPort:
@@ -40,9 +40,10 @@ class MemoryPort:
         if count == 0:
             return 0
         duration = count * self.access_ns
-        req = self._arbiter.request()
+        req = self._arbiter.acquire()
         try:
-            yield req
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(duration)
         finally:
             req.release()

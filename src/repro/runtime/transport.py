@@ -141,8 +141,18 @@ class HypercubeTransport:
         return envelope
 
     def recv(self, node_id: int, tag: str = "msg"):
-        """Process: take the next message for (node, tag)."""
-        envelope = yield self._mailbox(node_id, tag).get()
+        """Process: take the next message for (node, tag).
+
+        A mailbox this take leaves drained (no items, getters or
+        putters) is dropped, so per-step tags do not pile up one
+        :class:`Store` each; the next put or get makes a fresh one.
+        """
+        box = self._mailbox(node_id, tag)
+        envelope = yield box.get()
+        boxes = self._mailboxes[node_id]
+        if (not box._items and not box._getters and not box._putters
+                and boxes.get(tag) is box):
+            del boxes[tag]
         return envelope
 
     def predicted_transfer_ns(self, src: int, dst: int, nbytes: int) -> int:
@@ -234,12 +244,14 @@ class ReliableTransport(HypercubeTransport):
         """Drop all undelivered mailbox contents (post-restore flush).
 
         Only call after the processes waiting on those mailboxes have
-        been interrupted; their abandoned getters are discarded too.
+        been interrupted; their abandoned getters are discarded too,
+        along with the mailboxes themselves.
         """
         dropped = 0
         for boxes in self._mailboxes:
             for store in boxes.values():
-                dropped += store.clear()
+                dropped += len(store)
+            boxes.clear()
         self.mailbox_flushes += 1
         return dropped
 

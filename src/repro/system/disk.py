@@ -11,7 +11,7 @@ The disk's sustained rate is calibrated to that figure (8 MiB / 15 s ≈
 0.56 MB/s — a believable mid-80s Winchester streaming rate).
 """
 
-from repro.events import Mutex
+from repro.events import Mutex, Request
 
 
 class SystemDisk:
@@ -38,8 +38,9 @@ class SystemDisk:
     def write(self, nbytes: int):
         """Process: stream ``nbytes`` to the platters."""
         duration = self.transfer_ns(nbytes)
-        with self._arbiter.request() as req:
-            yield req
+        with self._arbiter.acquire() as req:
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(duration)
         self.bytes_written += nbytes
         self.busy_ns += duration
@@ -48,8 +49,9 @@ class SystemDisk:
     def read(self, nbytes: int):
         """Process: stream ``nbytes`` back."""
         duration = self.transfer_ns(nbytes)
-        with self._arbiter.request() as req:
-            yield req
+        with self._arbiter.acquire() as req:
+            if req.__class__ is Request:
+                yield req
             yield self.engine.timeout(duration)
         self.bytes_read += nbytes
         self.busy_ns += duration

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.specs import PAPER_SPECS
-from repro.events import Interrupt, Mutex, record_fault
+from repro.events import Interrupt, Mutex, Request, record_fault
 from repro.memory import ParityError
 from repro.runtime.transport import ReliableTransport
 from repro.system.checkpoint import CheckpointService, SnapshotAborted
@@ -389,8 +389,9 @@ class RingStencilWorkload:
         addr = self.block_addr(slot)
         lock = run.lock(node)
         for step in range(start_step, end_step):
-            with lock.request() as req:
-                yield req
+            with lock.acquire() as req:
+                if req.__class__ is Request:
+                    yield req
                 yield from node.load_vector(row, reg=0)
                 yield from node.vector_op(
                     "VSMUL", [0], scalars=[self.decay],
@@ -421,8 +422,9 @@ class RingStencilWorkload:
                     dtype=np.uint32,
                 )
                 last = addr + (self.elems - 1) * 8
-                with lock.request() as req:
-                    yield req
+                with lock.acquire() as req:
+                    if req.__class__ is Request:
+                        yield req
                     yield from node.memory.words_write(last, halo)
         return "done"
 

@@ -166,6 +166,17 @@ class TestTransfer:
         with pytest.raises(ValueError):
             eng.run(until=eng.process(proc(eng)))
 
+    def test_foreign_endpoint_rejected(self, eng):
+        a, b, c = make_nodes(eng, 3)
+        link = connect(a, 0, b, 0, role="x")
+        connect(a, 4, c, 0, role="x")
+
+        def proc(eng):
+            yield from link.send_from(a.endpoint(4), "x", 8)
+
+        with pytest.raises(ValueError, match="not on this sublink"):
+            eng.run(until=eng.process(proc(eng)))
+
 
 class TestNoDeadlock:
     def test_crossing_transfers_complete(self, eng):
